@@ -7,6 +7,12 @@ depth-``l`` run is exactly an ``l``-variate polynomial multiplication over
 the evaluation-point grid ``S^l`` — which is what makes the parallel
 BFS-DFS traversal (and the polynomial fault-tolerance code) compose
 cleanly with it.
+
+Because that recursion is exact, its result is the acyclic convolution of
+the two digit vectors: :meth:`LazyToomCook.multiply_blocks` computes it in
+one Kronecker-substitution product and charges the recursion's flops from
+a memoized cost recurrence.  The literal recursion stays as the private
+differential oracle ``_multiply_blocks_reference``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from repro.bigint.split import lazy_depth, split_lazy
 from repro.util.validation import check_positive
 
 __all__ = ["LazyToomCook"]
+
+#: Leaf flop charges by value, ``(k, points, depth) -> flops``: two
+#: instances share an entry exactly when their recursions are identical.
+_LEAF_FLOPS: dict[tuple[int, tuple[EvalPoint, ...], int], int] = {}
 
 
 class LazyToomCook:
@@ -66,12 +76,57 @@ class LazyToomCook:
         Returns the ``2*k**depth - 1``-limb product polynomial (carries
         unresolved) and the flop count.  This is the code path the
         parallel algorithm runs at its leaves.
+
+        The depth-``depth`` recursion computes exactly the acyclic
+        convolution of its inputs (Claim 2.1), so the values come from
+        one Kronecker-substitution product; the flops are the
+        recursion's charge, from ``_leaf_flops``.
+        """
+        self._check_leaf(va, vb, depth)
+        return va.convolve(vb), self._leaf_flops(depth)
+
+    def _leaf_flops(self, depth: int) -> int:
+        """Flops the depth-``depth`` blockwise recursion charges.
+
+        The cost recurrence of Algorithm 2: ``F(0) = 1`` and ``F(d)`` is
+        the level's evaluation, interpolation and overlap-add charge plus
+        one ``F(d-1)`` per evaluation point.  Memoized on
+        ``(k, points, depth)`` — the values the charge depends on.
+        """
+        key = (self.k, tuple(map(tuple, self.points)), depth)
+        flops = _LEAF_FLOPS.get(key)
+        if flops is None:
+            if depth == 0:
+                flops = 1
+            else:
+                block_len = self.k ** (depth - 1)
+                child_len = 2 * block_len - 1
+                flops = (
+                    matrix_apply_flops(self.U.rows, block_len)
+                    + matrix_apply_flops(self.V.rows, block_len)
+                    + len(self.U.rows) * self._leaf_flops(depth - 1)
+                    + matrix_apply_flops(self.W_T.rows, child_len)
+                    + len(self.W_T.rows) * child_len
+                )
+            _LEAF_FLOPS[key] = flops
+        return flops
+
+    def _check_leaf(self, va: LimbVector, vb: LimbVector, depth: int) -> None:
+        n = self.k**depth
+        if len(va) != n or len(vb) != n:
+            raise ValueError(f"expected {n} limbs, got {len(va)} and {len(vb)}")
+
+    def _multiply_blocks_reference(
+        self, va: LimbVector, vb: LimbVector, depth: int
+    ) -> tuple[LimbVector, int]:
+        """The literal blockwise recursion of Algorithm 2 — the
+        differential oracle :meth:`multiply_blocks` is tested against.
+
+        Evaluates at every point (redundant points included) and
+        interpolates from the first ``2k-1``, which define ``W^T``.
         """
         k = self.k
-        if len(va) != k**depth or len(vb) != k**depth:
-            raise ValueError(
-                f"expected {k**depth} limbs, got {len(va)} and {len(vb)}"
-            )
+        self._check_leaf(va, vb, depth)
         if depth == 0:
             return LimbVector([va[0] * vb[0]], va.base_bits), 1
 
@@ -88,11 +143,12 @@ class LazyToomCook:
         # Recursive pointwise products (lines 8-14).
         c_evals: list[LimbVector] = []
         for ea, eb in zip(a_evals, b_evals):
-            c, fl = self.multiply_blocks(ea, eb, depth - 1)
+            c, fl = self._multiply_blocks_reference(ea, eb, depth - 1)
             c_evals.append(c)
             flops += fl
 
         # Blockwise interpolation (line 15).
+        c_evals = c_evals[: len(self.W_T.rows)]
         coeffs = apply_matrix_to_blocks(self.W_T.rows, c_evals)
         flops += matrix_apply_flops(self.W_T.rows, len(c_evals[0]))
 

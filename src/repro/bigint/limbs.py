@@ -62,6 +62,15 @@ class LimbVector:
         return cls(int_to_digits(value, base_bits, count=count), base_bits)
 
     @classmethod
+    def _trusted(cls, limbs: tuple[int, ...], base_bits: int) -> "LimbVector":
+        """Wrap a tuple of plain ints without re-validating it — the
+        arithmetic kernels' constructor, for limbs they computed."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "limbs", limbs)
+        object.__setattr__(self, "base_bits", base_bits)
+        return self
+
+    @classmethod
     def zeros(cls, count: int, base_bits: int) -> "LimbVector":
         return cls([0] * count, base_bits)
 
@@ -136,17 +145,19 @@ class LimbVector:
 
     # -- polynomial ---------------------------------------------------------
     def convolve(self, other: "LimbVector") -> "LimbVector":
-        """Polynomial product of the two limb vectors (schoolbook
-        convolution); the result has ``len(a)+len(b)-1`` limbs."""
+        """Polynomial product of the two limb vectors (exact signed
+        acyclic convolution); the result has ``len(a)+len(b)-1`` limbs.
+
+        Computed by Kronecker substitution: each vector is packed into one
+        integer with a slot wide enough for any output coefficient, the
+        two integers are multiplied once, and the product is unpacked
+        with balanced (signed) digits.
+        """
         if self.base_bits != other.base_bits:
             raise ValueError("mismatched limb radices")
-        a, b = self.limbs, other.limbs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return LimbVector(out, self.base_bits)
+        return LimbVector._trusted(
+            _kronecker_convolve(self.limbs, other.limbs), self.base_bits
+        )
 
     # -- blocks ------------------------------------------------------------
     def split_blocks(self, nblocks: int) -> list["LimbVector"]:
@@ -217,3 +228,44 @@ class LimbVector:
         shown = list(self.limbs[:6])
         suffix = "..." if len(self.limbs) > 6 else ""
         return f"LimbVector({shown}{suffix}, base_bits={self.base_bits})"
+
+
+def _pack(values: Sequence[int], slot: int) -> int:
+    """``sum(v_i * 2**(8*slot*i))`` for signed ``|v_i| < 2**(8*slot)``."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(slot, "little") for v in values)
+    packed = int.from_bytes(pos, "little")
+    if any(v < 0 for v in values):
+        neg = b"".join((-v if v < 0 else 0).to_bytes(slot, "little") for v in values)
+        packed -= int.from_bytes(neg, "little")
+    return packed
+
+
+def _kronecker_convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact acyclic convolution of two signed integer sequences by
+    Kronecker substitution (one big-integer product).
+
+    Every output coefficient is bounded by ``max|a| * max|b| * min(n, m)``,
+    so ``w``-bit slots (whole bytes) with ``2**(w-1)`` above that bound
+    keep the packed coefficients from overlapping.  Adding ``2**(w-1)`` to
+    every slot of the product makes each slot non-negative, so a plain
+    byte split recovers the balanced digits.
+    """
+    n, m = len(a), len(b)
+    if not n or not m:
+        return (0,) * max(n + m - 1, 0)
+    if n == 1 or m == 1:
+        scalar, vec = (a[0], b) if n == 1 else (b[0], a)
+        return tuple(scalar * v for v in vec)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(n, m)
+    if not bound:
+        return (0,) * (n + m - 1)
+    slot = (bound.bit_length() + 8) // 8  # 2**(8*slot - 1) > bound
+    count = n + m - 1
+    half = 1 << (8 * slot - 1)
+    offset = int.from_bytes(half.to_bytes(slot, "little") * count, "little")
+    product = _pack(a, slot) * _pack(b, slot) + offset
+    raw = product.to_bytes(slot * count, "little")
+    return tuple(
+        int.from_bytes(raw[i : i + slot], "little") - half
+        for i in range(0, slot * count, slot)
+    )

@@ -2,8 +2,10 @@
 
 The paper's introduction contrasts Toom-Cook against the schoolbook
 algorithm; the sequential-crossover benchmark regenerates that comparison.
-The implementation works limb-by-limb so its arithmetic-operation count is
-the honest ``Θ(n²)`` (Python's builtin ``*`` is only used on single limbs).
+The charged arithmetic-operation count is the honest ``Θ(n²)`` limb
+multiply-accumulates; the product's value comes from
+:meth:`LimbVector.convolve <repro.bigint.limbs.LimbVector.convolve>`, the
+exact convolution the lazy Toom-Cook leaf shares.
 """
 
 from __future__ import annotations

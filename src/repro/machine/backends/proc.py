@@ -110,6 +110,10 @@ class _RankSlot:
         self.proc: Any = None
         self.conn: socket.socket | None = None
         self.wlock = threading.Lock()
+        # Per incarnation, reset by ProcBackend._attach: whether GO has
+        # been written, and the frames held back until it is.
+        self.go_sent = False  # guarded-by: wlock
+        self.held: list[tuple[str, Any]] = []  # guarded-by: wlock
         self.last_seen = 0.0
         self.alive = True
         self.finished = False
@@ -272,8 +276,8 @@ class ProcBackend:
             rank, incarnation = payload
             slot = self.slots[rank]
             respawn = False
+            self._attach(slot, conn)
             with self.lock:
-                slot.conn = conn
                 slot.last_seen = time.monotonic()
                 if incarnation > 0:
                     # A replacement process coming up: it was spawned at
@@ -330,18 +334,46 @@ class ProcBackend:
                 _close_quietly(conn)
 
     # -------------------------------------------------------------- relaying
+    def _attach(self, slot: _RankSlot, conn: socket.socket) -> None:
+        """Make ``conn`` the slot's connection: a new incarnation, which
+        has not been sent GO yet."""
+        with slot.wlock:
+            slot.conn = conn
+            slot.go_sent = False
+            slot.held = []
+
     def _send_to(self, slot: _RankSlot, kind: str, payload: Any) -> None:
         """Write a frame to one rank, dropping on any failure.
 
         Sends to dead/exited ranks succeed silently, matching the
         simulator (and physical reality): the sender cannot know.
+
+        Invariant: the first frame every incarnation receives is GO (its
+        handshake accepts nothing else).  Frames addressed to a connected
+        incarnation before its GO — a peer that got its own GO first and
+        already sends — are held and flushed right after GO, in order.
         """
         with slot.wlock:
             conn = slot.conn
             if conn is None:
                 return
+            if kind == wire.GO:
+                if slot.go_sent:
+                    raise MachineError(
+                        f"GO sent twice to rank {slot.rank}'s incarnation"
+                    )
+                frames = [(kind, payload), *slot.held]
+                slot.held = []
+            elif not slot.go_sent:
+                slot.held.append((kind, payload))
+                return
+            else:
+                frames = [(kind, payload)]
+            assert slot.go_sent or frames[0][0] == wire.GO, "frame ahead of GO"
+            slot.go_sent = True
             try:
-                wire.send_frame(conn, kind, payload)
+                for frame_kind, frame_payload in frames:
+                    wire.send_frame(conn, frame_kind, frame_payload)
             except OSError:  # repro-lint: disable=EXC001 -- audited: send-to-dead-rank succeeds silently by contract (see docstring)
                 pass
 
@@ -554,6 +586,15 @@ class ProcBackend:
             _close_quietly(self.listener)
         for slot in self.slots:
             self._send_to(slot, wire.SHUTDOWN, None)
+        for slot in self.slots:
+            # An incarnation still waiting for GO would hold SHUTDOWN back;
+            # closing its socket ends its handshake instead.
+            with slot.wlock:
+                conn = None if slot.go_sent else slot.conn
+                if conn is not None:
+                    slot.conn = None
+            if conn is not None:
+                _close_quietly(conn)
         deadline = time.monotonic() + join_grace(self.machine.timeout)
         with self.lock:
             children = list(self._spawned)

@@ -12,7 +12,10 @@ These tests pin that headline at the geometries the paper cares about:
   epochs, and
 - a depth-3 multi-step traversal (Sections 4.3/6.1: ``l = 3`` combined
   BFS steps on p = 27 = (2k-1)^3), the deepest combined step the smallest
-  grid admits — a full multiplication, product checked exactly.
+  grid admits — a full multiplication, product checked exactly, and
+- full 73728-bit multiplies at P = 243 = 3^5, plain parallel and fault
+  tolerant, products checked exactly — feasible because the leaves run
+  the Kronecker-substitution kernel.
 
 Each test carries a generous wall-clock ceiling — not a perf target but
 a liveness tripwire: a quadratic-in-P regression in the scheduler's wake
@@ -29,7 +32,11 @@ import time
 import pytest
 
 from repro.bigint.limbs import LimbVector
-from repro.core.api import multiply_multistep
+from repro.core.api import (
+    multiply_fault_tolerant,
+    multiply_multistep,
+    multiply_parallel,
+)
 from repro.core.ft_linear import ColumnCode
 from repro.machine.engine import Machine
 
@@ -178,3 +185,18 @@ def test_multistep_depth3_traversal_exact():
     assert out.plan.l_bfs == 3, "p=27, k=2 must give exactly 3 BFS steps"
     assert out.product == a * b
     assert elapsed < 60.0, f"depth-3 traversal took {elapsed:.1f}s (ceiling 60s)"
+
+
+@pytest.mark.parametrize("multiply", [multiply_parallel, multiply_fault_tolerant])
+def test_full_multiply_p243_exact(multiply):
+    """A whole multiplication at P = 243 (k = 2, five BFS steps) on
+    73728-bit operands, product checked exactly against ``a*b``."""
+    a = (1 << 73727) + 0x9E3779B97F4A7C15 * ((1 << 40000) - 1)
+    b = (1 << 73727) - 0xC2B2AE3D27D4EB4F * ((1 << 50000) + 3)
+
+    start = time.monotonic()
+    out = multiply(a, b, p=243, k=2)
+    elapsed = time.monotonic() - start
+
+    assert out.product == a * b
+    assert elapsed < 90.0, f"P=243 multiply took {elapsed:.1f}s (ceiling 90s)"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -97,6 +98,15 @@ def _exit_uncleanly(comm):
     except PeerDead:
         return "peer-dead"
     return "unexpected-message"
+
+
+def _fan_out(comm):
+    """Rank 0 sends to every peer before it hears from any of them."""
+    if comm.rank == 0:
+        for dest in range(1, comm.size):
+            comm.send(dest, ("hello", dest), tag=3)
+        return "sent"
+    return comm.recv(0, tag=3)
 
 
 # -------------------------------------------------------------------- wire
@@ -209,6 +219,65 @@ class TestGuards:
         machine = Machine(2, timeout=5.0, backend="proc")
         with pytest.raises(MachineError, match="picklable"):
             machine.run(lambda comm: None)
+
+
+# --------------------------------------------------------------- handshake
+
+
+def _read_kinds(sock, count):
+    return [wire.recv_frame(sock)[0] for _ in range(count)]
+
+
+class TestGoFirst:
+    """The first frame every rank incarnation receives is GO."""
+
+    def test_delivery_ahead_of_late_go_is_held(self, monkeypatch):
+        # Force the handshake race: the last rank's GO waits until rank 0
+        # (already released) has had a message relayed to it.  Without
+        # the GO-first invariant that DELIVER reaches the last rank's
+        # handshake first and the run fails.
+        from repro.machine.backends.proc import ProcBackend
+
+        original = ProcBackend._send_to
+        relayed = threading.Event()
+
+        def send_to(self, slot, kind, payload):
+            last = slot.rank == len(self.slots) - 1
+            if last and kind == wire.GO and not relayed.is_set():
+                assert relayed.wait(30.0), "rank 0 never sent to the last rank"
+            original(self, slot, kind, payload)
+            if last and kind == wire.DELIVER:
+                relayed.set()
+
+        monkeypatch.setattr(ProcBackend, "_send_to", send_to)
+        machine = Machine(3, timeout=30.0, backend="proc")
+        res = machine.run(_fan_out)
+        assert relayed.is_set()
+        assert res.results == ["sent", ("hello", 1), ("hello", 2)]
+
+    def test_every_incarnation_gets_go_first(self):
+        # _attach is the path both first connections and respawned
+        # replacements take in ProcBackend._reader.
+        from repro.machine.backends.proc import ProcBackend
+
+        backend = ProcBackend(Machine(2, backend="proc"))
+        slot = backend.slots[1]
+        for incarnation in range(2):
+            ours, theirs = socket.socketpair()
+            try:
+                backend._attach(slot, ours)
+                backend._send_to(slot, wire.DELIVER, ("m", incarnation))
+                backend._send_to(slot, wire.EVENT, ("dead", 0, 0))
+                backend._send_to(slot, wire.GO, {"incarnation": incarnation})
+                backend._send_to(slot, wire.CONTROL_REPLY, (1, None))
+                assert _read_kinds(theirs, 4) == [
+                    wire.GO, wire.DELIVER, wire.EVENT, wire.CONTROL_REPLY
+                ]
+                with pytest.raises(MachineError, match="GO sent twice"):
+                    backend._send_to(slot, wire.GO, {})
+            finally:
+                ours.close()
+                theirs.close()
 
 
 # ------------------------------------------------- death and the watchdog
