@@ -159,11 +159,6 @@ class ProcBackend:
                 "tracing is not supported on the proc backend; "
                 "run with backend='sim' to trace"
             )
-        if machine._resolve_sanitizer() is not None:
-            raise MachineError(
-                "race detection is not supported on the proc backend; "
-                "run with backend='sim' to sanitize"
-            )
         configs = [
             self._config_for(r, program, args, rank_args)
             for r in range(machine.size)

@@ -312,48 +312,41 @@ def _uncharged_send(comm: Any, dest: int, payload: Any, tag: int) -> None:
 
 def _uncharged_recv(comm: Any, source: int, tag: int) -> Any:
     from repro.machine.errors import DeadlockError, PeerDead
+    from repro.util.env import poll_interval
 
     base, gsource = comm, source
     while hasattr(base, "parent"):
         gsource = base.ranks[gsource]
         base = base.parent
-    from repro.util.env import poll_interval
-
     base.fault_point()
     state = base._state
+    limit = state.timeout
     scheduler = state.scheduler
-    if scheduler is not None:
-        # Event engine: park instead of polling; the dead-source check
-        # deliberately mirrors the thread path below (liveness only — a
-        # finished-but-alive source is a deadlock, not a fail-over).
-        while True:
-            try:
-                msg = state.router.collect(base.rank, gsource, tag, timeout=0.0)
-                break
-            except DeadlockError:
-                with state.lock:
-                    source_dead = not state.alive[gsource]
-                if source_dead:
-                    raise PeerDead(gsource) from None
-                if not scheduler.block_recv(
-                    base.rank, gsource, tag, state.timeout
-                ):
-                    raise
-    else:
-        waited = 0.0
-        interval = poll_interval()
-        while True:
-            try:
-                msg = state.router.collect(base.rank, gsource, tag, timeout=interval)
-                break
-            except DeadlockError:
-                waited += interval
-                with state.lock:
-                    source_dead = not state.alive[gsource]
-                if source_dead:
-                    raise PeerDead(gsource) from None
-                if waited >= state.timeout:
-                    raise
+    # The dead-source check is liveness only: a finished-but-alive source
+    # is a deadlock, not a fail-over.  Under the event engine the rank
+    # parks between polls; a process-backend rank process (no scheduler)
+    # polls its mailbox on the wall clock instead.
+    interval = 0.0 if scheduler is not None else poll_interval()
+    waited = 0.0
+    while True:
+        try:
+            msg = state.router.collect(base.rank, gsource, tag, timeout=interval)
+            break
+        except DeadlockError:
+            waited += interval
+            with state.lock:
+                source_dead = not state.alive[gsource]
+            if source_dead:
+                raise PeerDead(gsource) from None
+            if scheduler is not None:
+                gave_up = not scheduler.block_recv(base.rank, gsource, tag, limit)
+            else:
+                gave_up = waited >= limit
+            if gave_up:
+                raise DeadlockError(
+                    f"rank {base.rank}: no message from {gsource} tag {tag} "
+                    f"after {limit:.1f}s"
+                ) from None
     recorder = state.recorder
     if recorder is not None:
         recorder.on_recv(

@@ -1,4 +1,4 @@
-"""The deterministic cooperative event engine (default).
+"""The deterministic cooperative event engine.
 
 Exactly one rank executes at any instant.  Every rank program runs on a
 *carrier* — an OS thread used purely as a suspendable call stack, never as
@@ -24,12 +24,12 @@ Hang detection is **virtual-time quiescence**, not wall clock: when the
 ready queue is empty but waiters remain, no rank can ever run again, so
 the machine is deadlocked *now* regardless of any timeout value.  The
 waiter with the smallest ``(timeout, rank)`` key is resumed with a
-``deadlock`` verdict and raises the same :class:`DeadlockError` the
-thread engine's watchdog would have produced — per-receive timeouts
+``deadlock`` verdict and raises the same :class:`DeadlockError` a
+wall-clock receive watchdog would have produced — per-receive timeouts
 survive as deterministic priorities, not as durations.  The one wall
 clock left is a host-level backstop for a rank that never returns
-control at all (an infinite loop between yield points), bounded by the
-same ``join_grace`` the thread engine uses.
+control at all (an infinite loop between yield points), bounded by
+``join_grace``, the same bound the process backend's reaper uses.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ class EventEngine:
                     self._batons[rank].set()
                     if not self._resume.wait(timeout=grace):
                         # The fiber never came back: it is looping without
-                        # touching a yield point.  Same surface as the
-                        # thread engine's join watchdog.
+                        # touching a yield point.
                         raise MachineError(
                             f"rank-{rank} failed to terminate (deadlock?)"
                         )

@@ -35,32 +35,12 @@ clock or entropy.
     Directory holding the pinned baseline records ``repro perf compare``
     gates against.  Default ``benchmarks/baselines``.
 
-``REPRO_RACECHECK``
-    Happens-before race detection (``1``/``true`` = on, default off): every
-    :class:`~repro.machine.engine.Machine` without an explicit
-    ``sanitize=`` argument runs under the
-    :class:`~repro.racecheck.sanitizer.RaceSanitizer`.  Purely diagnostic —
-    it never changes what a run computes — but it does slow runs down,
-    which is why it is opt-in (see docs/STATIC_ANALYSIS.md "Race
-    detection").
-
 ``REPRO_BACKEND``
     Execution backend for :class:`~repro.machine.engine.Machine` runs:
     ``sim`` (default, in-process simulator) or ``proc`` (one real OS
     process per rank exchanging messages over localhost sockets — see
     docs/MACHINE.md "Backends").  Conformance-gated: both backends
     produce bit-identical products and communication graphs.
-
-``REPRO_ENGINE``
-    Scheduling engine for the ``sim`` backend: ``event`` (default — the
-    deterministic cooperative scheduler, one runnable rank at a time
-    under virtual-time quiescence detection) or ``thread`` (the legacy
-    free-running thread-per-rank engine, retained for one release as the
-    differential-testing reference — see docs/MACHINE.md "Engines").
-    Conformance-gated: both engines produce byte-identical products,
-    costs, commcheck graphs and campaign reports.  Sanitized runs
-    (``REPRO_RACECHECK``/``sanitize=``) always use the thread engine,
-    the concurrent implementation race detection is aimed at.
 
 ``REPRO_HEARTBEAT``
     Rank heartbeat interval in seconds for the process backend (default
@@ -83,6 +63,12 @@ clock or entropy.
 
 The full user-facing table of these variables lives in README.md
 ("Environment variables"); keep the two in sync.
+
+Two retired switches are still read, strictly, so a stale setting fails
+loudly instead of silently running something else: ``REPRO_ENGINE`` may
+only be unset or ``event`` (the thread engine was removed), and
+``REPRO_RACECHECK`` only unset or falsy (the race sanitizer was
+removed).
 """
 
 from __future__ import annotations
@@ -104,7 +90,6 @@ __all__ = [
     "backend",
     "backend_scope",
     "engine",
-    "engine_scope",
     "heartbeat_interval",
     "port_range",
     "proc_fault_mode",
@@ -176,7 +161,7 @@ def poll_interval() -> float:
 def join_grace(timeout: float) -> float:
     """How long to wait for a rank to terminate once its work should be
     done: the (already scaled) machine ``timeout`` times a fixed grace
-    factor.  Shared by the simulator's thread joins and the process
+    factor.  Shared by the event engine's backstop and the process
     backend's shutdown reaper so both backends give up in step."""
     return timeout * _JOIN_GRACE_FACTOR
 
@@ -213,20 +198,18 @@ def perf_baseline() -> str | None:
 
 
 def racecheck_enabled() -> bool:
-    """Whether the race detector is on by default (``REPRO_RACECHECK``).
+    """Always False: the race sanitizer was removed.
 
-    Accepts the usual boolean spellings; anything else raises
-    :class:`ValueError` rather than silently running unsanitized.
+    ``REPRO_RACECHECK`` may be unset or a false spelling; anything else
+    raises :class:`ValueError` rather than silently running unsanitized.
     """
     raw = os.environ.get(_RACECHECK_VAR)
-    if raw is None or not raw.strip():
+    if raw is None or raw.strip().lower() in ("", "0", "false", "no", "off"):
         return False
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{_RACECHECK_VAR} must be a boolean flag, got {raw!r}")
+    raise ValueError(
+        f"{_RACECHECK_VAR}={raw!r}: the race sanitizer was removed; "
+        "unset the variable"
+    )
 
 
 def start_method() -> str:
@@ -275,37 +258,18 @@ def backend_scope(name: str) -> Iterator[None]:
 
 
 def engine() -> str:
-    """Sim-backend scheduling engine (``REPRO_ENGINE``: ``event``/``thread``)."""
-    raw = os.environ.get(_ENGINE_VAR, "").strip()
-    if not raw:
-        return "event"
-    if raw not in ("event", "thread"):
-        raise ValueError(f"{_ENGINE_VAR} must be event or thread, got {raw!r}")
-    return raw
+    """The sim-backend scheduling engine: always ``event``.
 
-
-@contextmanager
-def engine_scope(name: str) -> Iterator[None]:
-    """Scope ``REPRO_ENGINE`` to ``name`` for the duration of the block.
-
-    Mirrors :func:`backend_scope`: the engine is resolved per
-    :meth:`~repro.machine.engine.Machine.run`, so scoping the variable
-    around a call that builds machines internally (campaign trials,
-    commcheck extraction) selects the engine for every machine in that
-    call — including ones constructed in worker processes, which inherit
-    the environment.
+    ``REPRO_ENGINE`` may be unset or ``event``; anything else raises
+    :class:`ValueError` (the thread engine was removed).
     """
-    if name not in ("event", "thread"):
-        raise ValueError(f"engine must be event or thread, got {name!r}")
-    previous = os.environ.get(_ENGINE_VAR)
-    os.environ[_ENGINE_VAR] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(_ENGINE_VAR, None)
-        else:
-            os.environ[_ENGINE_VAR] = previous
+    raw = os.environ.get(_ENGINE_VAR, "").strip()
+    if raw in ("", "event"):
+        return "event"
+    raise ValueError(
+        f"{_ENGINE_VAR}={raw!r}: the thread engine was removed; "
+        "unset the variable or set it to event"
+    )
 
 
 def proc_fault_mode() -> str:

@@ -1,20 +1,18 @@
 """Virtual-time quiescence: deadlock detection without wall-clock waits.
 
-The thread engine detects a wedged receive by *waiting out* the caller's
-timeout — a genuine deadlock costs real seconds, and the per-receive
-timeout doubles as both a correctness parameter and a latency knob.  The
-event engine replaces that with quiescence detection: when every live
-rank is parked and no message can arrive, the scheduler picks the waiter
-with the smallest ``(timeout, rank)`` key and fails it with the exact
-DeadlockError the thread engine would have raised — in microseconds of
-wall time, regardless of how large the timeout is.
+A wall-clock watchdog detects a wedged receive by *waiting out* the
+caller's timeout — a genuine deadlock costs real seconds, and the
+per-receive timeout doubles as both a correctness parameter and a
+latency knob.  The event engine replaces that with quiescence detection:
+when every live rank is parked and no message can arrive, the scheduler
+picks the waiter with the smallest ``(timeout, rank)`` key and fails it
+with the DeadlockError the watchdog would have raised — in microseconds
+of wall time, regardless of how large the timeout is.
 
-These are the regression tests for that swap (the PR that introduced the
-event engine also fixed the wall-clock-coupled hang detection).  The
-finished-rank fixtures pin the PR 3 semantics — a receive from a rank
-that returned without sending fails over as PeerDead *promptly* on both
-engines — and the huge-timeout deadlock tests pin the new contract: the
-event engine's detection latency is independent of the timeout value.
+The finished-rank fixtures pin the PR 3 semantics — a receive from a
+rank that returned without sending fails over as PeerDead *promptly* —
+and the huge-timeout deadlock tests pin the quiescence contract: the
+detection latency is independent of the timeout value.
 """
 
 from __future__ import annotations
@@ -23,28 +21,26 @@ import time
 
 import pytest
 
+from repro.machine.collectives import t_broadcast, t_reduce
 from repro.machine.engine import Machine
 from repro.machine.errors import DeadlockError, PeerDead
-from repro.machine.fault import FaultSchedule
+from repro.machine.tags import TAG_T_BROADCAST, TAG_T_REDUCE
 
-_ENGINES = ("thread", "event")
-
-#: Far beyond any test runner's patience: if either engine ever waits
-#: this out in wall-clock time, the suite hangs and CI flags it.
+#: Far beyond any test runner's patience: if the engine ever waits this
+#: out in wall-clock time, the suite hangs and CI flags it.
 _HUGE_TIMEOUT = 3600.0
 
 
-def _run(size, program, *, engine, timeout, raise_on_error=True):
-    machine = Machine(size, timeout=timeout, engine=engine)
+def _run(size, program, *, timeout, raise_on_error=True):
+    machine = Machine(size, timeout=timeout)
     return machine.run(program, raise_on_error=raise_on_error)
 
 
 class TestFinishedRankFailover:
-    """The PR 3 fixture, now pinned on both engines: a recv from a rank
-    that finished without sending is PeerDead, not a timeout."""
+    """The PR 3 fixture: a recv from a rank that finished without sending
+    is PeerDead, not a timeout."""
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_recv_from_finished_rank_is_peer_dead(self, engine):
+    def test_recv_from_finished_rank_is_peer_dead(self):
         def program(comm):
             if comm.rank == 0:
                 return None  # finishes without ever sending
@@ -52,12 +48,12 @@ class TestFinishedRankFailover:
                 comm.recv(0)  # fails over promptly, no timeout needed
             return "failed over"
 
-        res = _run(2, program, engine=engine, timeout=30)
+        res = _run(2, program, timeout=30)
         assert res.results[1] == "failed over"
 
     def test_failover_latency_is_not_the_timeout(self):
-        """Under the event engine the failover must be near-instant even
-        with an absurd machine timeout — quiescence, not clock-watching."""
+        """The failover must be near-instant even with an absurd machine
+        timeout — quiescence, not clock-watching."""
 
         def program(comm):
             if comm.rank == 0:
@@ -67,7 +63,7 @@ class TestFinishedRankFailover:
             return "failed over"
 
         start = time.monotonic()
-        res = _run(2, program, engine="event", timeout=_HUGE_TIMEOUT)
+        res = _run(2, program, timeout=_HUGE_TIMEOUT)
         elapsed = time.monotonic() - start
         assert res.results[1] == "failed over"
         assert elapsed < 30.0, f"failover took {elapsed:.1f}s wall-clock"
@@ -75,9 +71,9 @@ class TestFinishedRankFailover:
 
 class TestQuiescenceDeadlock:
     def test_genuine_deadlock_detected_without_waiting(self):
-        """Two ranks each waiting on the other: the event engine must
-        diagnose the cycle by quiescence — promptly despite an hour-long
-        timeout — and raise the thread engine's exact error shape."""
+        """Two ranks each waiting on the other: the engine must diagnose
+        the cycle by quiescence — promptly despite an hour-long timeout —
+        and raise the watchdog's exact error shape."""
 
         def program(comm):
             comm.recv(1 - comm.rank)  # nobody ever sends
@@ -86,7 +82,6 @@ class TestQuiescenceDeadlock:
         res = _run(
             2,
             program,
-            engine="event",
             timeout=_HUGE_TIMEOUT,
             raise_on_error=False,
         )
@@ -100,23 +95,40 @@ class TestQuiescenceDeadlock:
         assert "no message from 1" in str(res.errors[0])
 
     def test_deadlock_error_class_matches_thread_engine(self):
-        """Same program, short thread-engine timeout: both engines must
-        surface the same failure class and message shape, so campaign
-        verdicts (HANG) agree across engines."""
+        """Short timeout: the failure class is the DeadlockError the retired
+        thread engine's watchdog raised, so campaign verdicts (HANG) keep
+        their frozen values."""
 
         def program(comm):
             comm.recv(1 - comm.rank)
 
-        thread_res = _run(
-            2, program, engine="thread", timeout=0.2, raise_on_error=False
+        res = _run(2, program, timeout=0.2, raise_on_error=False)
+        assert any(isinstance(err, DeadlockError) for err in res.errors.values())
+
+    @pytest.mark.parametrize(
+        "collective,tag",
+        [
+            (lambda comm: t_reduce(comm, {0: 1}), TAG_T_REDUCE),
+            (lambda comm: t_broadcast(comm, {1: None}), TAG_T_BROADCAST),
+        ],
+        ids=["t_reduce", "t_broadcast"],
+    )
+    def test_modeled_collective_deadlock_names_the_timeout(self, collective, tag):
+        """A modeled collective whose peer never sends fails with the
+        point-to-point message shape and the machine timeout, not the
+        zero-length mailbox poll behind it."""
+
+        def program(comm):
+            if comm.rank == 0:
+                collective(comm)  # rank 1 returns without taking part
+
+        machine = Machine(2, timeout=0.3)
+        res = machine.run(program, raise_on_error=False)
+        err = res.errors.get(0)
+        assert isinstance(err, DeadlockError)
+        assert str(err) == (
+            f"rank 0: no message from 1 tag {tag} after {machine.timeout:.1f}s"
         )
-        event_res = _run(
-            2, program, engine="event", timeout=0.2, raise_on_error=False
-        )
-        for res in (thread_res, event_res):
-            assert any(
-                isinstance(err, DeadlockError) for err in res.errors.values()
-            )
 
     def test_gate_deadlock_detected_by_quiescence(self):
         """A gate that can never complete (one participant already
@@ -132,7 +144,6 @@ class TestQuiescenceDeadlock:
         res = _run(
             2,
             program,
-            engine="event",
             timeout=_HUGE_TIMEOUT,
             raise_on_error=False,
         )
@@ -157,8 +168,7 @@ class TestQuiescenceDeadlock:
             res = _run(
                 4,
                 program,
-                engine="event",
-                timeout=_HUGE_TIMEOUT,
+                    timeout=_HUGE_TIMEOUT,
                 raise_on_error=False,
             )
             return {r: type(e).__name__ for r, e in sorted(res.errors.items())}

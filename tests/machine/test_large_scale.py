@@ -1,8 +1,8 @@
 """Large-P scale tests: thousands of ranks under the event engine.
 
-The thread engine tops out around a few hundred ranks (free-running OS
-threads contending for the GIL and one lock); the event engine runs
-exactly one rank at a time, so P is bounded by memory, not scheduling.
+Free-running OS threads top out around a few hundred ranks (contending
+for the GIL and one lock); the event engine runs exactly one rank at a
+time, so P is bounded by memory, not scheduling.
 These tests pin that headline at the geometries the paper cares about:
 
 - a 1024-column linear-code grid (P = 4096) running the Section 4.1
@@ -136,7 +136,7 @@ def test_ft_linear_grid_p4096_completes():
             rank_args.append((None,))
 
     start = time.monotonic()
-    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0, engine="event")
+    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0)
     res = machine.run(program, rank_args=rank_args)
     elapsed = time.monotonic() - start
 
@@ -162,7 +162,7 @@ def test_ft_polynomial_layout_p2187_completes():
     ]
 
     start = time.monotonic()
-    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0, engine="event")
+    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0)
     res = machine.run(program, rank_args=rank_args)
     elapsed = time.monotonic() - start
 

@@ -210,11 +210,6 @@ class TestGuards:
         with pytest.raises(MachineError, match="tracing"):
             machine.run(_ring_exchange, args=(0,))
 
-    def test_sanitizer_rejected(self):
-        machine = Machine(2, timeout=5.0, sanitize=True, backend="proc")
-        with pytest.raises(MachineError, match="race detection"):
-            machine.run(_ring_exchange, args=(0,))
-
     def test_unpicklable_program_rejected(self):
         machine = Machine(2, timeout=5.0, backend="proc")
         with pytest.raises(MachineError, match="picklable"):

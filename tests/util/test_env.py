@@ -15,6 +15,7 @@ from repro.util.env import (
     backend,
     backend_scope,
     default_jobs,
+    engine,
     heartbeat_interval,
     join_grace,
     perf_baseline,
@@ -22,6 +23,7 @@ from repro.util.env import (
     poll_interval,
     port_range,
     proc_fault_mode,
+    racecheck_enabled,
     scaled_timeout,
     start_method,
     timeout_scale,
@@ -159,6 +161,49 @@ class TestBackendKnob:
         with pytest.raises(ValueError, match="backend"):
             with backend_scope("mpi"):
                 pass
+
+
+class TestRetiredSwitches:
+    """``REPRO_ENGINE`` and ``REPRO_RACECHECK`` name removed features:
+    their defaults still read fine, anything else fails loudly."""
+
+    @pytest.mark.parametrize("raw", [None, "", "event", " event "])
+    def test_engine_default_or_event(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE", raw)
+        assert engine() == "event"
+
+    @pytest.mark.parametrize("raw", ["thread", "fiber", "1"])
+    def test_engine_other_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_ENGINE", raw)
+        with pytest.raises(ValueError, match="REPRO_ENGINE.*thread engine was removed"):
+            engine()
+
+    @pytest.mark.parametrize("raw", [None, "", "0", "false", "No", "off"])
+    def test_racecheck_unset_or_falsy(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("REPRO_RACECHECK", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_RACECHECK", raw)
+        assert racecheck_enabled() is False
+
+    @pytest.mark.parametrize("raw", ["1", "true", "on", "maybe"])
+    def test_racecheck_other_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_RACECHECK", raw)
+        with pytest.raises(
+            ValueError, match="REPRO_RACECHECK.*race sanitizer was removed"
+        ):
+            racecheck_enabled()
+
+    @pytest.mark.parametrize(
+        "var,raw", [("REPRO_ENGINE", "thread"), ("REPRO_RACECHECK", "1")]
+    )
+    def test_machine_run_refuses_stale_setting(self, monkeypatch, var, raw):
+        monkeypatch.setenv(var, raw)
+        with pytest.raises(ValueError, match=var):
+            Machine(2, timeout=5.0).run(lambda comm: comm.rank)
 
 
 class TestProcFaultModeKnob:
