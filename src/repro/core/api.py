@@ -12,7 +12,10 @@ Most users want one of four calls:
 - :func:`multiply_replicated` — the replication baseline (Theorem 5.3).
 
 Each parallel call accepts a fault schedule so fault campaigns are one
-argument away; see :mod:`repro.machine.fault`.
+argument away (see :mod:`repro.machine.fault`), and an observer:
+``trace=True`` records a virtual-time trace (:mod:`repro.obs`),
+``trace=ScheduleRecorder()`` the communication graph
+(:mod:`repro.commcheck`), any :class:`~repro.obs.tracer.Tracer` works.
 """
 
 from __future__ import annotations
@@ -55,6 +58,13 @@ def _plan_for(a: int, b: int, p: int, k: int, word_bits: int, m_words: float):
     return make_plan(n_bits, p=p, k=k, word_bits=word_bits, m_words=m_words)
 
 
+def _run(algo, a: int, b: int, trace) -> MultiplyOutcome:
+    """Multiply on ``algo`` under the observer ``trace`` (None = off)."""
+    if trace is not None:
+        algo.trace = trace
+    return algo.multiply(a, b)
+
+
 def multiply_parallel(
     a: int,
     b: int,
@@ -64,23 +74,17 @@ def multiply_parallel(
     m_words: float = math.inf,
     fault_schedule: FaultSchedule | None = None,
     trace=None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """Parallel Toom-Cook-k on ``p`` simulated processors (Section 3).
 
-    ``trace`` enables the observability layer (see :mod:`repro.obs`); the
-    resulting events and metrics ride back on ``outcome.run``.
-    ``recorder`` enables schedule extraction (see :mod:`repro.commcheck`):
-    pass a :class:`~repro.machine.record.ScheduleRecorder` to capture the
-    run's communication graph.
+    A recording ``trace``'s events and metrics ride back on
+    ``outcome.run``.
     """
     plan = _plan_for(a, b, p, k, word_bits, m_words)
     algo = ParallelToomCook(
-        plan, memory_words=m_words, fault_schedule=fault_schedule, trace=trace
+        plan, memory_words=m_words, fault_schedule=fault_schedule
     )
-    if recorder is not None:
-        algo.recorder = recorder
-    return algo.multiply(a, b)
+    return _run(algo, a, b, trace)
 
 
 def multiply_fault_tolerant(
@@ -93,17 +97,13 @@ def multiply_fault_tolerant(
     m_words: float = math.inf,
     fault_schedule: FaultSchedule | None = None,
     trace=None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """The combined fault-tolerant algorithm (Section 4, Theorem 5.2)."""
     plan = _plan_for(a, b, p, k, word_bits, m_words)
     algo = FaultTolerantToomCook(
-        plan, f=f, memory_words=m_words, fault_schedule=fault_schedule,
-        trace=trace,
+        plan, f=f, memory_words=m_words, fault_schedule=fault_schedule
     )
-    if recorder is not None:
-        algo.recorder = recorder
-    return algo.multiply(a, b)
+    return _run(algo, a, b, trace)
 
 
 def multiply_replicated(
@@ -115,16 +115,14 @@ def multiply_replicated(
     word_bits: int = 64,
     m_words: float = math.inf,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
+    trace=None,
 ) -> MultiplyOutcome:
     """The replication baseline (Theorem 5.3): ``f+1`` copies."""
     plan = _plan_for(a, b, p, k, word_bits, m_words)
     algo = ReplicatedToomCook(
         plan, f=f, memory_words=m_words, fault_schedule=fault_schedule
     )
-    if recorder is not None:
-        algo.recorder = recorder
-    return algo.multiply(a, b)
+    return _run(algo, a, b, trace)
 
 
 def multiply_checkpointed(
@@ -135,14 +133,12 @@ def multiply_checkpointed(
     f: int = 1,
     word_bits: int = 64,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
+    trace=None,
 ) -> MultiplyOutcome:
     """The checkpoint-restart baseline (global rollback)."""
     plan = _plan_for(a, b, p, k, word_bits, math.inf)
     algo = CheckpointedToomCook(plan, f=f, fault_schedule=fault_schedule)
-    if recorder is not None:
-        algo.recorder = recorder
-    return algo.multiply(a, b)
+    return _run(algo, a, b, trace)
 
 
 def multiply_multistep(
@@ -154,15 +150,13 @@ def multiply_multistep(
     f: int = 1,
     word_bits: int = 64,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
+    trace=None,
 ) -> MultiplyOutcome:
     """Multi-step fault-tolerant Toom-Cook (Sections 4.3/6.1): ``l``
     combined BFS steps, only ``f * P/(2k-1)**l`` code processors."""
     plan = _plan_for(a, b, p, k, word_bits, math.inf)
     algo = MultiStepToomCook(plan, l=l, f=f, fault_schedule=fault_schedule)
-    if recorder is not None:
-        algo.recorder = recorder
-    return algo.multiply(a, b)
+    return _run(algo, a, b, trace)
 
 
 def multiply_soft_tolerant(
@@ -173,12 +167,10 @@ def multiply_soft_tolerant(
     f: int = 2,
     word_bits: int = 64,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
+    trace=None,
 ) -> MultiplyOutcome:
     """Soft-fault hardened multiplication (Section 7): detects up to ``f``
     and corrects up to ``floor(f/2)`` silent miscalculations."""
     plan = _plan_for(a, b, p, k, word_bits, math.inf)
     algo = SoftTolerantToomCook(plan, f=f, fault_schedule=fault_schedule)
-    if recorder is not None:
-        algo.recorder = recorder
-    return algo.multiply(a, b)
+    return _run(algo, a, b, trace)

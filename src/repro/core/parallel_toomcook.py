@@ -71,18 +71,16 @@ class ParallelToomCook:
         Per-processor capacity ``M`` enforced by the machine
         (``math.inf`` = unlimited).
     trace:
-        Observability switch forwarded to ``Machine(trace=...)`` — a
-        :class:`~repro.obs.tracer.Tracer`, ``True`` or a
+        Observer forwarded to ``Machine(trace=...)`` — a
+        :class:`~repro.obs.tracer.Tracer` (a
+        :class:`~repro.machine.record.ScheduleRecorder` captures the
+        communication graph), ``True`` or a
         :class:`~repro.machine.costs.CostModel` (None = no tracing).
     """
 
     #: Default for subclasses whose __init__ predates the trace parameter;
     #: callers can also set ``algo.trace = tracer`` after construction.
     trace = None
-    #: Schedule-extraction mode (commcheck): set ``algo.recorder`` to a
-    #: :class:`~repro.machine.record.ScheduleRecorder` before ``multiply``
-    #: and the run's communication graph is captured without altering it.
-    recorder = None
 
     def __init__(
         self,
@@ -120,7 +118,6 @@ class ParallelToomCook:
             timeout=self.timeout,
             topology=self.topology,
             trace=self.trace,
-            recorder=self.recorder,
         )
 
     # -- public ---------------------------------------------------------------

@@ -52,6 +52,7 @@ from repro.machine.engine import (
 )
 from repro.machine.errors import HardFault, MachineError
 from repro.machine.fault import FaultLog
+from repro.machine.record import ScheduleRecorder
 from repro.parallel import spawn_process
 from repro.util.env import (
     heartbeat_interval,
@@ -154,7 +155,9 @@ class ProcBackend:
         raise_on_error: bool,
     ) -> RunResult:
         machine = self.machine
-        if machine.tracer.enabled:
+        # The schedule recorder is the one observer whose record crosses
+        # the process boundary (each rank ships its ops in its census).
+        if machine.tracer.enabled and not isinstance(machine.tracer, ScheduleRecorder):
             raise MachineError(
                 "tracing is not supported on the proc backend; "
                 "run with backend='sim' to trace"
@@ -211,7 +214,7 @@ class ProcBackend:
             topology=machine.topology,
             fault_schedule=machine.fault_schedule,
             fault_mode=self.fault_mode,
-            record=machine.recorder is not None,
+            record=isinstance(machine.tracer, ScheduleRecorder),
             program=program,
             prog_args=tuple(rank_args[rank]) if rank_args is not None else tuple(args),
         )
@@ -630,8 +633,8 @@ class ProcBackend:
                 fault_log.absorb(census["fault_entries"])
                 machine.fault_schedule.absorb_fired(census["fired"])
                 ops = census.get("recorder_ops")
-                if ops and machine.recorder is not None:
-                    machine.recorder.absorb(ops)
+                if ops:
+                    machine.tracer.absorb(ops)
             per_rank.append(clock)
             ledgers.append(ledger)
             peaks.append(peak)
@@ -649,7 +652,7 @@ class ProcBackend:
             peak_memory=peaks,
             fault_log=fault_log,
             errors=errors,
-            trace=None,
+            trace=machine.tracer if machine.tracer.enabled else None,
             metrics=None,
         )
         if errors and raise_on_error:

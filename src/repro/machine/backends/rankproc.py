@@ -285,9 +285,11 @@ class ProcCommunicator(Communicator):
     """The standard communicator with consistency primitives rerouted.
 
     Everything rank-local is inherited; the overrides below are exactly
-    the operations whose simulator implementation reads or writes
-    *machine-global* shared state, which on this backend lives in the
-    coordinator.
+    the machine-global steps (the private halves of ``agree_dead``,
+    ``vote``, ``gate``, ``mark_aborted`` and ``begin_replacement``, plus
+    ``poll_votes`` and ``_die``), whose simulator implementation reads or
+    writes shared state that on this backend lives in the coordinator.
+    The public methods, and with them every tracer hook, are inherited.
     """
 
     def __init__(self, state: _SharedState, rank: int, client: HubClient):
@@ -295,39 +297,19 @@ class ProcCommunicator(Communicator):
         self._client = client
 
     # -- agreement / votes / gates ------------------------------------------
-    def agree_dead(self, key: Any, candidates: Any) -> frozenset:
-        dead = self._client.control("agree_dead", key, tuple(candidates))
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_agree_dead(
-                self.rank, self.current_phase, key, candidates, dead,
-                self.incarnation,
-            )
-        return dead
+    def _agree_dead(self, key: Any, candidates: Any) -> frozenset:
+        return self._client.control("agree_dead", key, tuple(candidates))
 
-    def vote(self, key: Any, value: bool) -> None:
+    def _cast_vote(self, key: Any, value: bool) -> None:
         self._client.control("vote", key, self.rank, value)
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_vote(
-                self.rank, self.current_phase, key, value, self.incarnation
-            )
 
     def poll_votes(self, key: Any) -> dict[int, bool]:
         return dict(self._client.control("poll_votes", key))
 
-    def gate(
-        self, key: Any, participants: Any, timeout: float | None = None
-    ) -> None:
-        state = self._state
+    def _gate_arrive(self, key: Any) -> None:
         self._client.control("gate_arrive", key, self.rank)
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_gate(
-                self.rank, self.current_phase, key, participants,
-                self.incarnation,
-            )
-        limit = state.timeout if timeout is None else timeout
+
+    def _gate_wait(self, key: Any, participants: Any, limit: float) -> None:
         deadline = time.monotonic() + limit
         interval = poll_interval()
         while True:
@@ -340,16 +322,10 @@ class ProcCommunicator(Communicator):
             time.sleep(interval)
 
     # -- withdrawal ----------------------------------------------------------
-    def mark_aborted(self, task: int) -> None:
-        state = self._state
-        with state.lock:
-            state.aborted_task[self.rank] = task
+    def _withdraw(self, task: int) -> None:
+        with self._state.lock:
+            self._state.aborted_task[self.rank] = task
         self._client.control("abort", self.rank, task)
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_abort(
-                self.rank, self.current_phase, task, self.incarnation
-            )
 
     # -- fault path ----------------------------------------------------------
     def _die(self, op_index: int) -> None:
@@ -376,25 +352,12 @@ class ProcCommunicator(Communicator):
         state.heaps[self.rank].clear()
         raise HardFault(self.rank, phase, op_index)
 
-    def begin_replacement(self, purge: bool = True) -> int:
+    def _reincarnate(self) -> int:
         state = self._state
-        if purge:
-            state.router.purge(self.rank)
-        with state.lock:
-            if state.alive[self.rank]:
-                raise CommError(
-                    f"rank {self.rank} called begin_replacement while alive"
-                )
         new_inc = self._client.control("replacement", self.rank)
         with state.lock:
             state.incarnations[self.rank] = new_inc
             state.alive[self.rank] = True
-        self._phase_ops = 0
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_replacement(
-                self.rank, self.current_phase, purge, new_inc
-            )
         return new_inc
 
 
@@ -414,7 +377,6 @@ def build_census(
     """
     state = comm._state
     ledger = comm.ledger
-    recorder = state.recorder
     return {
         "rank": comm.rank,
         "inc": comm.incarnation,
@@ -423,7 +385,9 @@ def build_census(
         "peak": comm.memory.peak,
         "fault_entries": state.fault_log.entries,
         "fired": state.fault_schedule.fired,
-        "recorder_ops": recorder.ops() if recorder is not None else None,
+        "recorder_ops": (
+            state.tracer.ops() if isinstance(state.tracer, ScheduleRecorder) else None
+        ),
         "phase": phase,
         "op_index": op_index,
         "result": result,
@@ -450,8 +414,7 @@ def rank_main(config: RankConfig) -> None:
         fault_log=FaultLog(),
         timeout=config.timeout,
         topology=config.topology,
-        tracer=None,
-        recorder=ScheduleRecorder() if config.record else None,
+        tracer=ScheduleRecorder() if config.record else None,
     )
     with state.lock:
         state.alive[:] = snapshot["alive"]

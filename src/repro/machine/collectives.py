@@ -71,14 +71,15 @@ def _base_comm(comm: Any) -> Any:
 
 def _trace_collective(
     comm: Any, op: str, fan_in: int, payload: Any = None, words: int = 0,
-    modeled: bool = False,
+    l: int = 0, modeled: bool = False,
 ) -> None:
-    """Record a collective marker event (no-op when tracing is off).
+    """Report a collective to the tracer (no-op when tracing is off).
 
     ``fan_in`` > 0 marks the aggregating end of the tree (root of a
     reduce/gather, every rank of an all-to-all); contributing leaves pass
-    0 so the fan-in histogram isn't inflated by group size.  Payload
-    sizing is deferred behind the enabled check.
+    0 so the fan-in histogram isn't inflated by group size.  Modeled
+    collectives pass the ``words``/``l`` they were charged.  Payload
+    sizing and the global group are computed behind the enabled check.
     """
     base = _base_comm(comm)
     tracer = base._state.tracer
@@ -92,9 +93,10 @@ def _trace_collective(
         base.clock.snapshot(),
         base.incarnation,
         op=op,
-        group_size=comm.size,
+        group=comm.ranks if hasattr(comm, "ranks") else range(comm.size),
         fan_in=fan_in,
         words=words,
+        l=l,
         modeled=modeled,
     )
 
@@ -251,9 +253,11 @@ def barrier(comm: Any, tag: int = TAG_BARRIER) -> None:
 
 
 def _charge_lemma25(
-    comm: Any, t: int, total_words: int, with_flops: bool, name: str = "lemma25"
+    comm: Any, name: str, roots: Sequence[int], t: int, total_words: int,
+    with_flops: bool,
 ) -> None:
-    """Charge one rank the Lemma 2.5 critical-path costs."""
+    """Charge one rank the Lemma 2.5 critical-path costs and report the
+    modeled collective ``name`` rooted at ``roots``."""
     logp = max(1, math.ceil(math.log2(max(2, comm.size))))
     comm.clock.charge_flops(total_words if with_flops else 0)
     comm.clock.bw += total_words
@@ -261,18 +265,14 @@ def _charge_lemma25(
     comm.ledger.charge(
         f=total_words if with_flops else 0, bw=total_words, l=logp + t
     )
-    base = _base_comm(comm)
-    recorder = base._state.recorder
-    if recorder is not None:
-        group = (
-            list(comm.ranks)
-            if hasattr(comm, "ranks")
-            else list(range(comm.size))
-        )
-        recorder.on_collective(
-            base.rank, base.current_phase, name, group,
-            total_words, logp + t, base.incarnation,
-        )
+    _trace_collective(
+        comm,
+        name,
+        fan_in=(comm.size - 1) if comm.rank in roots else 0,
+        words=total_words,
+        l=logp + t,
+        modeled=True,
+    )
 
 
 def _uncharged_send(comm: Any, dest: int, payload: Any, tag: int) -> None:
@@ -289,11 +289,11 @@ def _uncharged_send(comm: Any, dest: int, payload: Any, tag: int) -> None:
     base.fault_point()
     from repro.machine.network import Message
 
-    recorder = base._state.recorder
-    if recorder is not None:
-        recorder.on_send(
-            base.rank, base.current_phase, gdest, tag, 0, 0,
-            base.incarnation, modeled=True,
+    tracer = base._state.tracer
+    if tracer.enabled:
+        tracer.on_send(
+            base.rank, base.current_phase, base.clock.snapshot(),
+            base.incarnation, gdest, tag, 0, 0, modeled=True,
         )
     msg = Message(
         source=base.rank,
@@ -337,7 +337,18 @@ def _uncharged_recv(comm: Any, source: int, tag: int) -> Any:
             with state.lock:
                 source_dead = not state.alive[gsource]
             if source_dead:
-                raise PeerDead(gsource) from None
+                # The source can post no further messages, but in a rank
+                # process the receiver thread may have posted its last one
+                # and then applied its death notice between our failed
+                # poll and the flag check: drain once more before failing
+                # over.
+                try:
+                    msg = state.router.collect(
+                        base.rank, gsource, tag, timeout=0.0
+                    )
+                except DeadlockError:
+                    raise PeerDead(gsource) from None
+                break
             if scheduler is not None:
                 gave_up = not scheduler.block_recv(base.rank, gsource, tag, limit)
             else:
@@ -347,11 +358,11 @@ def _uncharged_recv(comm: Any, source: int, tag: int) -> Any:
                     f"rank {base.rank}: no message from {gsource} tag {tag} "
                     f"after {limit:.1f}s"
                 ) from None
-    recorder = state.recorder
-    if recorder is not None:
-        recorder.on_recv(
-            base.rank, base.current_phase, msg.source, msg.tag, msg.words, 0,
-            base.incarnation, modeled=True,
+    tracer = state.tracer
+    if tracer.enabled:
+        tracer.on_match(
+            base.rank, base.current_phase, base.clock.snapshot(),
+            base.incarnation, msg.source, msg.tag, msg.words, 0, modeled=True,
         )
     base.clock.merge(msg.clock)
     return msg.payload
@@ -393,14 +404,7 @@ def t_reduce(
     total_words = sum(
         payload_words(contributions[r], comm.word_bits) for r in roots
     )
-    _charge_lemma25(comm, t, total_words, with_flops=True, name="t_reduce")
-    _trace_collective(
-        comm,
-        "t_reduce",
-        fan_in=(comm.size - 1) if comm.rank in roots else 0,
-        words=total_words,
-        modeled=True,
-    )
+    _charge_lemma25(comm, "t_reduce", roots, t, total_words, with_flops=True)
     result = None
     for i, root in enumerate(roots):
         mytag = tag + 3 * i
@@ -458,12 +462,5 @@ def t_broadcast(
         else:
             out[root] = _uncharged_recv(comm, root, mytag)
             total_words += payload_words(out[root], comm.word_bits)
-    _charge_lemma25(comm, 0, total_words, with_flops=False, name="t_broadcast")
-    _trace_collective(
-        comm,
-        "t_broadcast",
-        fan_in=(comm.size - 1) if comm.rank in roots else 0,
-        words=total_words,
-        modeled=True,
-    )
+    _charge_lemma25(comm, "t_broadcast", roots, 0, total_words, with_flops=False)
     return out

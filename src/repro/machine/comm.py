@@ -28,7 +28,6 @@ from repro.machine.errors import CommError, DeadlockError, HardFault, PeerDead
 from repro.machine.fault import FaultLog, FaultSchedule
 from repro.machine.memory import LocalMemory
 from repro.machine.network import Message, Router
-from repro.machine.record import ScheduleRecorder
 from repro.machine.sizes import payload_words
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.env import poll_interval
@@ -52,17 +51,16 @@ class _SharedState:
         timeout: float,
         topology: Any = None,
         tracer: Tracer | None = None,
-        recorder: ScheduleRecorder | None = None,
     ):
         from repro.machine.topology import FullyConnected
 
         self.size = size
-        # Explicit None-check: an empty RecordingTracer has len() == 0 and
-        # would be falsy under ``tracer or NULL_TRACER``.
+        #: The run's one observer (:class:`~repro.obs.tracer.Tracer`):
+        #: the virtual-time tracer, the commcheck schedule recorder, or
+        #: the no-op default.  Purely observational.  Explicit None-check:
+        #: an empty RecordingTracer has len() == 0 and would be falsy
+        #: under ``tracer or NULL_TRACER``.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Communication-schedule recorder (commcheck extraction); None
-        #: outside extraction runs, and purely observational when set.
-        self.recorder = recorder
         #: Cooperative scheduler
         #: (:class:`~repro.machine.engines.event.EventEngine`); installed
         #: by the event engine for the duration of its run, None in a
@@ -182,33 +180,42 @@ class Communicator:
         picked up under a later key.  Pair with :meth:`gate` so the
         snapshot is taken only after every participant has settled.
         """
+        dead = self._agree_dead(key, candidates)
+        tracer = self._state.tracer
+        if tracer.enabled:
+            tracer.on_agree_dead(
+                self.rank, self.current_phase, self.clock.snapshot(),
+                self.incarnation, key, candidates, dead,
+            )
+        return dead
+
+    def _agree_dead(self, key: Any, candidates: Sequence[int]) -> frozenset:
+        """The machine-global step of :meth:`agree_dead`."""
         state = self._state
         with state.lock:
             if key not in state.agreed_dead:
                 state.agreed_dead[key] = frozenset(
                     r for r in candidates if not state.alive[r]
                 )
-            dead = state.agreed_dead[key]
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_agree_dead(
-                self.rank, self.current_phase, key, candidates, dead,
-                self.incarnation,
-            )
-        return dead
+            return state.agreed_dead[key]
 
     def vote(self, key: Any, value: bool) -> None:
         """Record a boolean flag under ``key`` (read after the matching
         :meth:`gate` with :meth:`poll_votes`) — used for consistent group
         decisions such as "did this task attempt succeed everywhere"."""
+        self._cast_vote(key, value)
+        tracer = self._state.tracer
+        if tracer.enabled:
+            tracer.on_vote(
+                self.rank, self.current_phase, self.clock.snapshot(),
+                self.incarnation, key, value,
+            )
+
+    def _cast_vote(self, key: Any, value: bool) -> None:
+        """The machine-global step of :meth:`vote`."""
         state = self._state
         with state.lock:
             state.votes.setdefault(key, {})[self.rank] = value
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_vote(
-                self.rank, self.current_phase, key, value, self.incarnation
-            )
 
     def poll_votes(self, key: Any) -> dict[int, bool]:
         """All votes recorded under ``key`` so far (vote before the gate,
@@ -235,21 +242,33 @@ class Communicator:
         still missing; arrivals strike ranks off that set and wake it
         when it empties (deaths wake everyone).  The timeout survives
         only as the quiescence priority.  The process backend overrides
-        this method (``ProcCommunicator.gate``).
+        the two machine-global steps, :meth:`_gate_arrive` and
+        :meth:`_gate_wait`.
         """
+        self._gate_arrive(key)
+        state = self._state
+        tracer = state.tracer
+        if tracer.enabled:
+            tracer.on_gate(
+                self.rank, self.current_phase, self.clock.snapshot(),
+                self.incarnation, key, participants,
+            )
+        self._gate_wait(
+            key, participants, state.timeout if timeout is None else timeout
+        )
+
+    def _gate_arrive(self, key: Any) -> None:
+        """Register this rank at gate ``key``."""
         state = self._state
         with state.lock:
             state.gates.setdefault(key, set()).add(self.rank)
-        scheduler = state.scheduler
         # Our arrival may complete a gate a parked peer is waiting on.
-        scheduler.on_gate_arrival(key, self.rank)
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_gate(
-                self.rank, self.current_phase, key, participants,
-                self.incarnation,
-            )
-        limit = state.timeout if timeout is None else timeout
+        state.scheduler.on_gate_arrival(key, self.rank)
+
+    def _gate_wait(self, key: Any, participants: Sequence[int], limit: float) -> None:
+        """Block until every live participant has arrived at ``key``."""
+        state = self._state
+        scheduler = state.scheduler
         while True:
             with state.lock:
                 arrived = state.gates[key]
@@ -275,18 +294,7 @@ class Communicator:
         """Record that this rank abandoned task ``task`` (its polynomial-
         code column was killed); peers treat it like a dead sender for
         that task."""
-        with self._state.lock:
-            self._state.aborted_task[self.rank] = task
-        scheduler = self._state.scheduler
-        if scheduler is not None:
-            # Receivers using abort_check fail over on withdrawal exactly
-            # like on death: wake them to re-check.
-            scheduler.on_liveness_change()
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_abort(
-                self.rank, self.current_phase, task, self.incarnation
-            )
+        self._withdraw(task)
         tracer = self._state.tracer
         if tracer.enabled:
             tracer.on_abort(
@@ -296,6 +304,16 @@ class Communicator:
                 self.incarnation,
                 task,
             )
+
+    def _withdraw(self, task: int) -> None:
+        """The machine-global step of :meth:`mark_aborted`."""
+        with self._state.lock:
+            self._state.aborted_task[self.rank] = task
+        scheduler = self._state.scheduler
+        if scheduler is not None:
+            # Receivers using abort_check fail over on withdrawal exactly
+            # like on death: wake them to re-check.
+            scheduler.on_liveness_change()
 
     def aborted_at(self, rank: int) -> int:
         """The task index at which ``rank`` abandoned, or -1."""
@@ -422,25 +440,29 @@ class Communicator:
                 raise CommError(
                     f"rank {self.rank} called begin_replacement while alive"
                 )
-            state.incarnations[self.rank] += 1
-            state.alive[self.rank] = True
-            # The abort marker is deliberately left untouched: recovery
-            # protocols decide when the replacement rejoins a task.
+        incarnation = self._reincarnate()
         self._phase_ops = 0
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_replacement(
-                self.rank, self.current_phase, purge, self.incarnation
-            )
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_replacement(
                 self.rank,
                 self.current_phase,
                 self.clock.snapshot(),
-                self.incarnation,
+                incarnation,
+                purge,
             )
-        return self.incarnation
+        return incarnation
+
+    def _reincarnate(self) -> int:
+        """The machine-global step of :meth:`begin_replacement`: mark this
+        dead rank alive under the next incarnation number."""
+        state = self._state
+        with state.lock:
+            state.incarnations[self.rank] += 1
+            state.alive[self.rank] = True
+            # The abort marker is deliberately left untouched: recovery
+            # protocols decide when the replacement rejoins a task.
+            return state.incarnations[self.rank]
 
     # -- accounting ----------------------------------------------------------
     def charge_flops(self, ops: int) -> None:
@@ -467,12 +489,6 @@ class Communicator:
         self.clock.bw += nwords
         self.clock.l += hops
         self.ledger.charge(bw=nwords, l=hops)
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_send(
-                self.rank, self.current_phase, dest, tag, nwords, hops,
-                self.incarnation,
-            )
         tracer = self._state.tracer
         if tracer.enabled:
             tracer.on_send(
@@ -538,14 +554,14 @@ class Communicator:
         timeout: float | None,
         abort_check: int | None,
         raw: bool = False,
-        modeled: bool = False,
     ) -> Message:
-        """Shared physical-delivery loop behind :meth:`recv`,
-        :meth:`recv_raw` and the modeled collective transports: poll the
-        router for a match, failing over to :class:`PeerDead` when the
-        source can post no further messages.  Every delivered message
-        passes through here exactly once, which is where the schedule
-        recorder observes receives."""
+        """Shared physical-delivery loop behind :meth:`recv` and
+        :meth:`recv_raw`: poll the router for a match, failing over to
+        :class:`PeerDead` when the source can post no further messages.
+        Every message these two deliver passes through here exactly once,
+        which is where :meth:`~repro.obs.tracer.Tracer.on_match` fires.
+        (The modeled collective transports match their own messages in
+        :func:`repro.machine.collectives._uncharged_recv`.)"""
         if source == self.rank:
             raise CommError(f"rank {self.rank} attempted a self-receive")
         state = self._state
@@ -614,12 +630,12 @@ class Communicator:
                         f"rank {self.rank}: no message from {source} tag {tag} "
                         f"after {limit:.1f}s"
                     ) from None
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_recv(
-                self.rank, self.current_phase, msg.source, msg.tag, msg.words,
-                state.topology.hops(msg.source, self.rank), self.incarnation,
-                modeled=modeled, raw=raw,
+        tracer = state.tracer
+        if tracer.enabled:
+            tracer.on_match(
+                self.rank, self.current_phase, self.clock.snapshot(),
+                self.incarnation, msg.source, msg.tag, msg.words,
+                state.topology.hops(msg.source, self.rank), raw=raw,
             )
         return msg
 
@@ -677,10 +693,11 @@ class SubCommunicator:
         self.parent = parent
         self.ranks = ranks
         self.rank = ranks.index(parent.rank)
-        recorder = parent._state.recorder
-        if recorder is not None:
-            recorder.on_sub(
-                parent.rank, parent.current_phase, ranks, parent.incarnation
+        tracer = parent._state.tracer
+        if tracer.enabled:
+            tracer.on_sub(
+                parent.rank, parent.current_phase, parent.clock.snapshot(),
+                parent.incarnation, ranks,
             )
 
     @property

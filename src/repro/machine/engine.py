@@ -124,19 +124,16 @@ class Machine:
         without touching any virtual-time quantity
         (:func:`repro.util.env.timeout_scale`).
     trace:
-        Observability switch (off by default — a no-op tracer that adds
+        The run's observer (off by default — a no-op tracer that adds
         one branch per machine op and never snapshots a clock).  Pass
         ``True`` for a :class:`~repro.obs.tracer.RecordingTracer` under
         the unit cost model, a :class:`~repro.machine.costs.CostModel`
         to pick the virtual-time weights, or a
-        :class:`~repro.obs.tracer.Tracer` instance.  Tracing never
-        charges costs: ``RunResult.critical_path`` is identical with and
-        without it.
-    recorder:
-        Optional :class:`~repro.machine.record.ScheduleRecorder`
-        (``commcheck`` schedule extraction).  Purely observational — it
-        records the communication structure and never alters costs,
-        matching, or control flow.
+        :class:`~repro.obs.tracer.Tracer` instance — e.g. a
+        :class:`~repro.machine.record.ScheduleRecorder` for ``commcheck``
+        schedule extraction.  Observation never charges costs or alters
+        matching or control flow: ``RunResult.critical_path`` is
+        identical with and without it.
     backend:
         Execution backend: ``"sim"`` (in-process simulator),
         ``"proc"`` (one OS process per rank over localhost sockets — see
@@ -155,7 +152,6 @@ class Machine:
         timeout: float = 60.0,
         topology: Any = None,
         trace: Any = None,
-        recorder: Any = None,
         backend: str | None = None,
     ):
         if size <= 0:
@@ -177,7 +173,6 @@ class Machine:
         self.timeout = scaled_timeout(timeout)
         self.topology = topology
         self.tracer = make_tracer(trace)
-        self.recorder = recorder
         #: Explicit backend override; None defers to ``REPRO_BACKEND`` at
         #: each :meth:`run` (so scoping the variable around code that
         #: builds machines internally selects the backend for all of them).
@@ -227,7 +222,6 @@ class Machine:
             timeout=self.timeout,
             topology=self.topology,
             tracer=tracer,
-            recorder=self.recorder,
         )
         if tracer.enabled:
             self._wire_tracer(state, memories)

@@ -1,27 +1,32 @@
-"""Tracers: the machine-facing recording API.
+"""Tracers: the machine's one observation interface.
 
-Two implementations share one interface:
+Every observer of a machine run is a :class:`Tracer`.  The base class
+defines every hook as a no-op with the same ``(rank, phase, clock,
+incarnation, ...)`` prefix; a consumer overrides the hooks it reads.
+Machine hot paths make one call on ``state.tracer`` per site, guarded
+by ``if tracer.enabled:``, so a disabled machine pays one attribute load
+and one branch per operation and never snapshots a clock.
 
-- :data:`NULL_TRACER` (a plain :class:`Tracer`) — ``enabled`` is False and
-  every hook is a no-op.  Machine hot paths guard each hook call with
-  ``if tracer.enabled:``, so a disabled machine pays one attribute load
-  and one branch per operation and never snapshots a clock.
+Two consumers ship:
+
 - :class:`RecordingTracer` — appends :class:`~repro.obs.events.TraceEvent`
   records to **per-rank streams** (each stream is written only by its own
-  rank's thread, so event order within a rank is deterministic and
-  lock-free) and mirrors the aggregate view into a
+  rank, so event order within a rank is deterministic and lock-free) and
+  mirrors the aggregate view into a
   :class:`~repro.obs.metrics.MetricsRegistry`.
+- :class:`~repro.machine.record.ScheduleRecorder` — the ``commcheck`` /
+  ``faultcheck`` communication schedule, in program order per rank.
 
 Virtual timestamps come from the rank's (F, BW, L) clock snapshot under
 the tracer's :class:`~repro.machine.costs.CostModel`:
 ``vt = alpha*L + beta*BW + gamma*F``.  Because clocks are logical, the
 same program under the same fault schedule produces the same timestamps
-on every run — thread scheduling cannot leak in.
+on every run — host scheduling cannot leak in.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.machine.costs import CostModel, Counts
 from repro.obs.events import (
@@ -42,35 +47,76 @@ __all__ = ["Tracer", "RecordingTracer", "NULL_TRACER", "make_tracer"]
 
 
 class Tracer:
-    """No-op tracer; the base of the recording one.
+    """No-op observer; the base of every consumer.
 
     Hooks take the rank's clock *snapshot* (an immutable
-    :class:`~repro.machine.costs.Counts`) so the recording tracer never
-    reads mutable machine state off-thread.
+    :class:`~repro.machine.costs.Counts`) so a consumer never reads
+    mutable machine state.  Receives have two hooks because the two
+    consumers observe them at different moments: :meth:`on_match` when
+    the router hands a message over (before any clock merge, raw and
+    modeled transport legs included), :meth:`on_recv` when a counted
+    receive is charged (after the merge).
     """
 
     #: Hot paths check this before snapshotting a clock or calling a hook.
     enabled: bool = False
 
+    # -- point-to-point ------------------------------------------------------
     def on_send(
         self, rank: int, phase: str, clock: Counts, incarnation: int,
-        dest: int, tag: int, words: int, hops: int,
+        dest: int, tag: int, words: int, hops: int, modeled: bool = False,
     ) -> None:
-        pass
+        """A send; ``modeled`` marks an uncharged collective transport leg."""
+
+    def on_match(
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        source: int, tag: int, words: int, hops: int,
+        modeled: bool = False, raw: bool = False,
+    ) -> None:
+        """A message matched out of the mailbox (``raw``: via ``recv_raw``,
+        absorbed later if at all; ``modeled``: a collective transport leg)."""
 
     def on_recv(
         self, rank: int, phase: str, clock: Counts, incarnation: int,
         source: int, tag: int, words: int,
     ) -> None:
-        pass
+        """A counted receive charged to the rank (after the clock merge)."""
 
+    # -- collectives ---------------------------------------------------------
     def on_collective(
         self, rank: int, phase: str, clock: Counts, incarnation: int,
-        op: str, group_size: int, fan_in: int, words: int,
-        modeled: bool = False,
+        op: str, group: Sequence[int], fan_in: int, words: int,
+        l: int = 0, modeled: bool = False,
+    ) -> None:
+        """A collective over the global ranks ``group``; ``modeled`` ones
+        (Lemma 2.5 transport) charged ``words`` of BW and ``l`` latency."""
+
+    # -- synchronization -----------------------------------------------------
+    def on_gate(
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        key: Hashable, participants: Iterable[int],
     ) -> None:
         pass
 
+    def on_agree_dead(
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        key: Hashable, candidates: Iterable[int], dead: Iterable[int],
+    ) -> None:
+        pass
+
+    def on_vote(
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        key: Hashable, value: Any,
+    ) -> None:
+        pass
+
+    def on_sub(
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        ranks: Iterable[int],
+    ) -> None:
+        """A sub-communicator over the global ``ranks`` was created."""
+
+    # -- phases and memory ---------------------------------------------------
     def on_phase_begin(
         self, rank: int, phase: str, clock: Counts, incarnation: int
     ) -> None:
@@ -87,6 +133,7 @@ class Tracer:
     ) -> None:
         pass
 
+    # -- fault path ----------------------------------------------------------
     def on_fault(
         self, rank: int, phase: str, clock: Counts, incarnation: int,
         fault_kind: str, op_index: int,
@@ -94,7 +141,8 @@ class Tracer:
         pass
 
     def on_replacement(
-        self, rank: int, phase: str, clock: Counts, incarnation: int
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        purge: bool = True,
     ) -> None:
         pass
 
@@ -132,8 +180,8 @@ class RecordingTracer(Tracer):
         incarnation: int,
         **attrs: Any,
     ) -> TraceEvent:
-        # Per-rank streams are only ever appended to by the owning rank's
-        # thread; dict insertion is GIL-atomic, so no lock is needed.
+        # Per-rank streams are only ever appended to by the owning rank,
+        # and one rank runs at a time, so no lock is needed.
         stream = self._streams.get(rank)
         if stream is None:
             stream = self._streams.setdefault(rank, [])
@@ -170,7 +218,14 @@ class RecordingTracer(Tracer):
         return sum(len(s) for s in self._streams.values())
 
     # -- hooks -------------------------------------------------------------
-    def on_send(self, rank, phase, clock, incarnation, dest, tag, words, hops):
+    def on_send(
+        self, rank, phase, clock, incarnation, dest, tag, words, hops,
+        modeled=False,
+    ):
+        # Modeled transport legs carry no words; their collective's
+        # on_collective accounts for the traffic.
+        if modeled:
+            return
         self._record(
             EV_SEND, rank, phase, clock, incarnation,
             dest=dest, tag=tag, words=words, hops=hops,
@@ -189,12 +244,12 @@ class RecordingTracer(Tracer):
         )
 
     def on_collective(
-        self, rank, phase, clock, incarnation, op, group_size, fan_in, words,
-        modeled=False,
+        self, rank, phase, clock, incarnation, op, group, fan_in, words,
+        l=0, modeled=False,
     ):
         self._record(
             EV_COLLECTIVE, rank, phase, clock, incarnation,
-            op=op, group_size=group_size, fan_in=fan_in, words=words,
+            op=op, group_size=len(group), fan_in=fan_in, words=words,
         )
         m = self.metrics
         m.inc("collectives_total", op=op)
@@ -230,7 +285,7 @@ class RecordingTracer(Tracer):
         )
         self.metrics.inc("faults_total", kind=fault_kind)
 
-    def on_replacement(self, rank, phase, clock, incarnation):
+    def on_replacement(self, rank, phase, clock, incarnation, purge=True):
         self._record(EV_REPLACEMENT, rank, phase, clock, incarnation)
         self.metrics.inc("replacements_total")
 
@@ -252,8 +307,9 @@ def make_tracer(trace) -> Tracer:
 
     ``None``/``False`` → the shared no-op tracer; ``True`` → a fresh
     :class:`RecordingTracer` with the unit cost model; a
-    :class:`~repro.machine.costs.CostModel` → a fresh recorder under that
-    model; a :class:`Tracer` instance → itself.
+    :class:`~repro.machine.costs.CostModel` → a fresh
+    :class:`RecordingTracer` under that model; a :class:`Tracer` instance
+    (a :class:`~repro.machine.record.ScheduleRecorder` included) → itself.
     """
     if trace is None or trace is False:
         return NULL_TRACER

@@ -65,7 +65,7 @@ class TestNestedSub:
                 outer.sub([0, 2])  # local indices into outer -> global 0, 2
             return None
 
-        result = Machine(3, recorder=recorder).run(program)
+        result = Machine(3, trace=recorder).run(program)
         assert result.ok
         ops = recorder.ops()
         sub_events = [op for op in ops[0] if op["op"] == "sub"]
@@ -81,7 +81,7 @@ class TestNestedSub:
                 return None
             return group.recv(0, tag=5)
 
-        result = Machine(2, recorder=recorder).run(program)
+        result = Machine(2, trace=recorder).run(program)
         assert result.ok
         sends = [op for op in recorder.ops()[0] if op["op"] == "send"]
         recvs = [op for op in recorder.ops()[1] if op["op"] == "recv"]

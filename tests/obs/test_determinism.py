@@ -2,16 +2,14 @@
 artifacts, and tracing never perturbs the measured costs.
 
 Virtual timestamps come from logical clocks and per-rank streams are
-appended in program order, so thread scheduling cannot leak into an
-event's timestamp or a rank's event order.  Whole-trace byte-identity
-additionally needs the run's *communication pattern* to be
-schedule-independent; that holds for any campaign without asynchronous
-death detection (delay/soft faults, or hard faults whose recovery is
-synchronous).  For the full FT algorithm under hard faults, surviving
-ranks may legally complete a few more or fewer operations before
-noticing a death, so there the deterministic forensics are the
-aggregates — critical path, phase costs, fault log — which is what the
-last test class pins down (see docs/OBSERVABILITY.md).
+appended in program order, so host scheduling cannot leak into an
+event's timestamp or a rank's event order.  Under the event engine the
+communication pattern itself is a function of the program and the fault
+schedule, so whole traces are byte-stable too — hard faults through the
+full fault-tolerant algorithm included (``tests/obs/test_trace_golden.py``
+freezes such a trace).  The last classes pin the aggregate forensics —
+critical path, phase costs, fault and recovery events — and the cost
+neutrality of tracing (see docs/OBSERVABILITY.md).
 """
 
 import pytest
@@ -118,8 +116,8 @@ class TestDelayCampaignThroughFullAlgorithm:
 
 
 class TestHardFaultCampaignForensics:
-    """Hard faults through the full algorithm: detection is
-    asynchronous, so the deterministic forensics are the aggregates."""
+    """Hard faults through the full algorithm: the fault, replacement
+    and recovery forensics, and the cost neutrality of tracing."""
 
     @staticmethod
     def campaign():

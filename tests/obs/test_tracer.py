@@ -23,7 +23,7 @@ class TestNullTracer:
         c = Counts()
         NULL_TRACER.on_send(0, "init", c, 0, 1, 0, 4, 1)
         NULL_TRACER.on_recv(0, "init", c, 0, 1, 0, 4)
-        NULL_TRACER.on_collective(0, "init", c, 0, "reduce", 4, 3, 10)
+        NULL_TRACER.on_collective(0, "init", c, 0, "reduce", range(4), 3, 10)
         NULL_TRACER.on_phase_begin(0, "init", c, 0)
         NULL_TRACER.on_phase_end(0, "init", c, 0)
         NULL_TRACER.on_mem_peak(0, "init", c, 0, 5, 5)
@@ -105,16 +105,16 @@ class TestRecordingTracer:
 
     def test_collective_fan_in_only_at_aggregating_end(self):
         t = RecordingTracer()
-        t.on_collective(0, "p", Counts(), 0, "reduce", 4, 3, 12)
-        t.on_collective(1, "p", Counts(), 0, "reduce", 4, 0, 12)
+        t.on_collective(0, "p", Counts(), 0, "reduce", range(4), 3, 12)
+        t.on_collective(1, "p", Counts(), 0, "reduce", range(4), 0, 12)
         hist = t.metrics.histogram("collective_fan_in")
         assert hist.count == 1 and hist.max == 3
         assert t.metrics.counter("collectives_total", op="reduce") == 2
 
     def test_modeled_collective_words_feed_phase_words(self):
         t = RecordingTracer()
-        t.on_collective(0, "recovery", Counts(), 0, "t_reduce", 9, 2, 40, modeled=True)
-        t.on_collective(0, "recovery", Counts(), 0, "reduce", 9, 2, 40, modeled=False)
+        t.on_collective(0, "recovery", Counts(), 0, "t_reduce", range(9), 2, 40, modeled=True)
+        t.on_collective(0, "recovery", Counts(), 0, "reduce", range(9), 2, 40, modeled=False)
         # Only the modeled one adds words (counted ones move words via sends).
         assert t.metrics.counter("phase_words", phase="recovery") == 40
         assert t.metrics.counter("recovery_words_total") == 40
@@ -133,7 +133,7 @@ class TestRecordingTracer:
 
     def test_event_as_dict_flat_and_sorted(self):
         t = RecordingTracer()
-        t.on_collective(2, "p", Counts(f=1, bw=2, l=3), 1, "reduce", 4, 3, 12)
+        t.on_collective(2, "p", Counts(f=1, bw=2, l=3), 1, "reduce", range(4), 3, 12)
         (ev,) = t.events()
         d = ev.as_dict()
         assert d["kind"] == EV_COLLECTIVE
